@@ -12,6 +12,13 @@ keying makes the answer a pure function of *which* message is asked about,
 so both engines see byte-identical faults, timelines, and ``faults.*``
 metrics under the same seed (the chaos suite's cross-engine invariant).
 
+Each injector owns one ``Philox`` bit generator and re-keys it for every
+decision: the new key, counter 0, an empty buffer — exactly the state a
+fresh ``Philox(key=...)`` starts in, at a fraction of its construction
+cost.  The re-keyed generator never leaves the injector; callers get
+finished draws from private helpers, so nothing can hold it across a
+re-key.
+
 Crash remapping: after a recovery the cluster shrinks and re-ranks, but all
 fault coordinates stay keyed by the *original* ranks via the injector's
 ``rank -> original rank`` map — a plan that jitters link ``(3, 4)`` keeps
@@ -49,6 +56,19 @@ from repro.faults.plan import (
 __all__ = ["FaultInjector", "WorkerCrashedError"]
 
 
+def _decision_key(
+    seed: int, round_idx: int, kind: str, tag: str, origin, occ: int
+) -> np.ndarray:
+    """Philox key of one decision: BLAKE2b of its coordinates' tuple repr.
+
+    The f-string spells out ``repr((seed, round_idx, kind, tag, origin,
+    occ))`` element by element, without building the tuple.
+    """
+    token = f"({seed!r}, {round_idx!r}, {kind!r}, {tag!r}, {origin!r}, {occ!r})"
+    digest = hashlib.blake2b(token.encode("ascii"), digest_size=16).digest()
+    return np.frombuffer(digest, dtype=np.uint64)
+
+
 class WorkerCrashedError(RuntimeError):
     """Raised when traffic touches a crashed (un-recovered) worker."""
 
@@ -80,6 +100,19 @@ class FaultInjector:
         self._jitter: dict[tuple[int, int], float] = {}
         self._slow: dict[tuple[int, int], float] = {}
         self._partitioned: frozenset[tuple[int, int]] = frozenset()
+        # One generator for every decision, re-keyed by _rekey.  Counter and
+        # buffer are tuples: the state setter reads them word by word, and
+        # Python ints are cheaper to read than numpy scalars.
+        self._philox = np.random.Philox()
+        self._gen = np.random.Generator(self._philox)
+        self._fresh_state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -169,10 +202,10 @@ class FaultInjector:
         else:
             prob, mode = entry
             occ = self._next_occurrence(("drop", tag, origin))
-            rng = self._keyed_rng("drop", tag, origin, occ)
-            failures = 0
             limit = self.plan.max_attempts
-            while failures < limit and rng.random() < prob:
+            draws = self._uniforms("drop", tag, origin, occ, limit)
+            failures = 0
+            while failures < limit and draws[failures] < prob:
                 failures += 1
             if failures and mode == "timeout":
                 self._count("drops")
@@ -207,8 +240,8 @@ class FaultInjector:
             sigma = jitter.get(key)
             if sigma is not None:
                 origin = (self._physical[key[0]], self._physical[key[1]])
-                rng = self._keyed_rng("jitter", tag, origin, occ)
-                seconds *= math.exp(sigma * rng.standard_normal())
+                z = self._normal("jitter", tag, origin, occ)
+                seconds *= math.exp(sigma * z)
             wait = penalty.get(key)
             if wait is not None:
                 seconds += wait
@@ -230,9 +263,8 @@ class FaultInjector:
             return None
         origin = (self._physical[src], self._physical[dst])
         occ = self._next_occurrence(("flip", tag, origin))
-        rng = self._keyed_rng("flip", tag, origin, occ)
-        bits = rng.random(length) < prob
-        flipped = int(bits.sum())
+        bits = self._uniforms("flip", tag, origin, occ, length) < prob
+        flipped = np.count_nonzero(bits)
         if not flipped:
             return None
         self._count("flipped_messages")
@@ -272,12 +304,25 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _keyed_rng(self, kind: str, tag: str, origin, occ: int):
-        """Philox generator keyed by the decision's logical coordinates."""
-        token = repr((self.plan.seed, self._round, kind, tag, origin, occ))
-        digest = hashlib.blake2b(token.encode("ascii"), digest_size=16).digest()
-        key = np.frombuffer(digest, dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+    def _rekey(self, kind: str, tag: str, origin, occ: int) -> None:
+        """Put the generator in the state a fresh ``Philox(key=...)`` has."""
+        state = self._fresh_state
+        state["state"]["key"] = _decision_key(
+            self.plan.seed, self._round, kind, tag, origin, occ
+        )
+        self._philox.state = state
+
+    def _uniforms(
+        self, kind: str, tag: str, origin, occ: int, n: int
+    ) -> np.ndarray:
+        """The first ``n`` uniforms of one decision's keyed stream."""
+        self._rekey(kind, tag, origin, occ)
+        return self._gen.random(n)
+
+    def _normal(self, kind: str, tag: str, origin, occ: int) -> float:
+        """The first standard normal of one decision's keyed stream."""
+        self._rekey(kind, tag, origin, occ)
+        return self._gen.standard_normal()
 
     def _next_occurrence(self, key: tuple) -> int:
         occ = self._occurrences.get(key, 0)

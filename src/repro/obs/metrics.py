@@ -35,6 +35,9 @@ DEFAULT_TIME_BOUNDS: tuple[float, ...] = tuple(
 
 
 def _label_key(labels: dict[str, Any]) -> tuple[tuple[str, str], ...]:
+    if not labels:
+        # Most calls carry no labels; skip the sort and the str() calls.
+        return ()
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 

@@ -9,10 +9,19 @@ benchmark.  Timings at this size are noise, so no speedup floors or
 overhead ceilings are asserted here.
 """
 
+import json
+
+import benchmarks.bench_lockstep as bench
 from benchmarks.bench_lockstep import CHECK_DIMENSION, CHECK_WORKERS, run_mode
 
 
-def test_check_mode_runs_and_reports(capsys):
+def test_check_mode_runs_and_reports(capsys, monkeypatch, tmp_path):
+    # Check-mode timings are noise: write them to a scratch file and
+    # leave the committed record at the repo root untouched.
+    committed = bench._JSON_PATH
+    before = committed.read_bytes()
+    scratch = tmp_path / committed.name
+    monkeypatch.setattr(bench, "_JSON_PATH", scratch)
     results = run_mode("check")
     workers = results["workers"]
     assert set(workers) == {str(m) for m in CHECK_WORKERS}
@@ -27,3 +36,5 @@ def test_check_mode_runs_and_reports(capsys):
     out = capsys.readouterr().out
     assert f"D={CHECK_DIMENSION}" in out
     assert "plan-executor guard" in out
+    assert set(json.loads(scratch.read_text())) == {"check", "check_plan_guard"}
+    assert committed.read_bytes() == before

@@ -6,6 +6,9 @@ size are noise, so no overhead ceiling is asserted here — the < 3% gate
 lives in the slow full-mode test.
 """
 
+import json
+
+import benchmarks.bench_obs_overhead as bench
 from benchmarks.bench_obs_overhead import (
     CHECK_DIMENSION,
     CHECK_WORKERS,
@@ -13,7 +16,13 @@ from benchmarks.bench_obs_overhead import (
 )
 
 
-def test_check_mode_runs_and_reports(capsys):
+def test_check_mode_runs_and_reports(capsys, monkeypatch, tmp_path):
+    # Check-mode timings are noise: write them to a scratch file and
+    # leave the committed record at the repo root untouched.
+    committed = bench._JSON_PATH
+    before = committed.read_bytes()
+    scratch = tmp_path / committed.name
+    monkeypatch.setattr(bench, "_JSON_PATH", scratch)
     results = run_mode("check")
     assert set(results) == {str(m) for m in CHECK_WORKERS}
     for entry in results.values():
@@ -22,3 +31,5 @@ def test_check_mode_runs_and_reports(capsys):
         assert entry["traced_s"] > 0
     out = capsys.readouterr().out
     assert f"D={CHECK_DIMENSION}" in out
+    assert set(json.loads(scratch.read_text())) == {"check"}
+    assert committed.read_bytes() == before

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs import metrics as metrics_module
 
 
 class TestCounter:
@@ -104,6 +105,33 @@ class TestRegistry:
         assert snap['labeled{link=0->1}']["value"] == 2.0
         assert snap["g"]["kind"] == "gauge"
         assert snap["g"]["value"] == 3.0
+
+    def test_unlabeled_fast_path_matches_the_sorted_key(self, monkeypatch):
+        def fill(registry):
+            for step in range(3):
+                registry.counter("faults.drops").inc(step)
+                registry.counter("wire.link_bytes").inc(5)
+                registry.counter("wire.link_bytes", link="0->1").inc(7)
+                registry.gauge("marsit.comp_norm").set(step / 2)
+                registry.histogram("wire.step_makespan_s").observe(1e-4 * step)
+                registry.histogram("hops", bounds=(1, 2), tag="rs").observe(step)
+            return registry
+
+        fast = fill(MetricsRegistry())
+        # The general path: every key goes through the sort, as before the
+        # empty-label shortcut.
+        monkeypatch.setattr(
+            metrics_module,
+            "_label_key",
+            lambda labels: tuple(
+                sorted((str(k), str(v)) for k, v in labels.items())
+            ),
+        )
+        general = fill(MetricsRegistry())
+        assert fast.snapshot() == general.snapshot()
+        assert fast.total("wire.link_bytes") == general.total("wire.link_bytes")
+        assert fast.total("wire.link_bytes") == 36
+        assert list(fast._metrics) == list(general._metrics)
 
     def test_iter_yields_metrics(self):
         registry = MetricsRegistry()
