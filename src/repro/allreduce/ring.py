@@ -49,6 +49,7 @@ from repro.sched.plan import (
 
 __all__ = [
     "PackedLaneGrid",
+    "SegmentLayout",
     "SizedPayload",
     "compile_ring",
     "cycle_gather_steps",
@@ -250,6 +251,41 @@ def parallel_ring_all_gather(
         cluster.end_step(tag=f"{tag}:{step}")
 
 
+@dataclass(frozen=True)
+class SegmentLayout:
+    """Where :meth:`PackedLaneGrid.from_sign_matrix` reads each bit from.
+
+    A pure function of ``(dimension, num_segments)``: ``lengths`` are the
+    ``np.array_split`` segment lengths, ``width`` the words of the longest
+    one, and ``index[s, j]`` the matrix column that becomes bit ``j`` of
+    segment ``s`` — or ``dimension``, a zero column, for padding bits.
+    """
+
+    dimension: int
+    lengths: np.ndarray
+    width: int
+    index: np.ndarray
+
+    @property
+    def num_segments(self) -> int:
+        return self.lengths.size
+
+    @classmethod
+    def build(cls, dimension: int, num_segments: int) -> "SegmentLayout":
+        if num_segments < 1:
+            raise ValueError("num_segments must be >= 1")
+        lengths = np.array(
+            plan_segment_lengths(dimension, num_segments), dtype=np.int64
+        )
+        width = (int(lengths.max()) + _WORD_BITS - 1) // _WORD_BITS
+        starts = np.cumsum(lengths) - lengths
+        offsets = np.arange(width * _WORD_BITS, dtype=np.int64)
+        index = np.where(
+            offsets < lengths[:, None], starts[:, None] + offsets, dimension
+        )
+        return cls(dimension, lengths, width, index)
+
+
 @dataclass
 class PackedLaneGrid:
     """Mutable ``(lanes, segments, width)`` stack of packed bit segments.
@@ -292,34 +328,44 @@ class PackedLaneGrid:
 
     @classmethod
     def from_sign_matrix(
-        cls, matrix: np.ndarray, num_segments: int
+        cls,
+        matrix: np.ndarray,
+        num_segments: int,
+        layout: "SegmentLayout | None" = None,
     ) -> "PackedLaneGrid":
         """Pack a ``(lanes, D)`` sign matrix, split like :func:`split_segments`.
 
-        One vectorized pack per segment (all lanes at once); segment
-        boundaries follow ``np.array_split`` semantics so the grid lines up
-        bit-for-bit with the scalar path's per-worker segment lists.
+        One ``>= 0`` pass over the whole matrix and one ``np.packbits``
+        through the layout's gather index (all lanes and segments at once);
+        segment boundaries follow ``np.array_split`` semantics so the grid
+        lines up bit-for-bit with the scalar path's per-worker segment
+        lists.  ``>= 0`` maps ``-0.0`` to bit 1 and NaN to bit 0.
+        ``layout`` is the precomputed :class:`SegmentLayout` for ``(D,
+        num_segments)``; it is built on the spot when omitted.
         """
         matrix = np.asarray(matrix)
         if matrix.ndim != 2:
             raise ValueError("from_sign_matrix expects a 2-D matrix")
-        if num_segments < 1:
-            raise ValueError("num_segments must be >= 1")
         lanes, dim = matrix.shape
-        base, extra = divmod(dim, num_segments)
-        seg_lengths = np.full(num_segments, base, dtype=np.int64)
-        seg_lengths[:extra] += 1
-        width = (int(seg_lengths.max()) + _WORD_BITS - 1) // _WORD_BITS
-        words = np.zeros((lanes, num_segments, width), dtype=_WORD_DTYPE)
-        lengths = np.broadcast_to(seg_lengths, (lanes, num_segments)).copy()
-        start = 0
-        for seg, seg_len in enumerate(seg_lengths):
-            if seg_len:
-                batch = PackedBitsBatch.from_sign_matrix(
-                    matrix[:, start : start + seg_len]
-                )
-                words[:, seg, : batch.width] = batch.words
-            start += seg_len
+        if layout is None:
+            layout = SegmentLayout.build(dim, num_segments)
+        elif (layout.dimension, layout.num_segments) != (dim, num_segments):
+            raise ValueError(
+                f"layout for ({layout.dimension}, {layout.num_segments}) "
+                f"cannot pack ({dim}, {num_segments})"
+            )
+        # Column ``dim`` is the zero bit every padding slot gathers.
+        signs = np.empty((lanes, dim + 1), dtype=np.bool_)
+        np.greater_equal(matrix, 0, out=signs[:, :dim])
+        signs[:, dim] = False
+        packed = np.packbits(
+            signs.take(layout.index, axis=1), axis=-1, bitorder="little"
+        )
+        if packed.size:
+            words = packed.view(_WORD_DTYPE)
+        else:  # a zero-size byte array cannot be viewed as words
+            words = np.zeros((lanes, num_segments, layout.width), _WORD_DTYPE)
+        lengths = np.broadcast_to(layout.lengths, (lanes, num_segments)).copy()
         return cls(words=words, lengths=lengths)
 
     @classmethod

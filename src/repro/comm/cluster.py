@@ -310,28 +310,27 @@ class Cluster:
         step_bytes: dict[tuple[int, int], int] = {}
         links = self.links
         total = 0
-        count = 0
-        for src, dst, payload in transfers:
+        for src, dst, nbytes in transfers:
             key = (src, dst)
             link = links.get(key)
             if link is None:
                 raise ValueError(
                     f"no link {src} -> {dst} in {self.topology.name} topology"
                 )
-            nbytes = payload if type(payload) is int else payload_nbytes(payload)
+            if type(nbytes) is not int:
+                nbytes = payload_nbytes(nbytes)
             if nbytes < 0:
                 raise ValueError("nbytes must be non-negative")
             if faults is not None:
                 # Same decision the per-message path makes; the lockstep
                 # engine has no mailboxes, so only the byte/time consequences
                 # apply (terminal timeout mode is a scalar-engine diagnostic).
-                extra, _ = faults.on_message(tag, src, dst, nbytes)
-                nbytes += extra
+                nbytes += faults.on_message(tag, src, dst, nbytes)[0]
             link.bytes_sent += nbytes
             link.messages_sent += 1
             total += nbytes
-            count += 1
             step_bytes[key] = step_bytes.get(key, 0) + nbytes
+        count = len(transfers)
         self.total_bytes += total
         self.total_messages += count
         if not step_bytes:
@@ -339,10 +338,7 @@ class Cluster:
         if faults is not None:
             elapsed = faults.finish_step(tag, step_bytes)
         else:
-            elapsed = max(
-                self._link_transfer_time(link, nbytes)
-                for link, nbytes in step_bytes.items()
-            )
+            elapsed = self._makespan(step_bytes)
         self.timeline.add(Phase.COMMUNICATION, elapsed)
         if self._obs_on:
             self._record_step_obs(tag, step_bytes, count, elapsed)
@@ -376,10 +372,7 @@ class Cluster:
         if self.faults is not None:
             elapsed = self.faults.finish_step(tag, self._step_bytes)
         else:
-            elapsed = max(
-                self._link_transfer_time(link, nbytes)
-                for link, nbytes in self._step_bytes.items()
-            )
+            elapsed = self._makespan(self._step_bytes)
         self.timeline.add(Phase.COMMUNICATION, elapsed)
         if self._obs_on:
             self._record_step_obs(
@@ -493,6 +486,25 @@ class Cluster:
         metrics.histogram("wire.step_makespan_s").observe(elapsed)
         metrics.gauge("cluster.mailbox_depth").set(
             sum(worker.pending() for worker in self.workers)
+        )
+
+    def _makespan(self, step_bytes: dict[tuple[int, int], int]) -> float:
+        """The slowest link's :meth:`_link_transfer_time`, spelled inline.
+
+        Without speed factors every link divides by the same bandwidth, and
+        ``latency + n / bandwidth`` never decreases as ``n`` grows (IEEE
+        division and addition round monotonically), so the slowest link is
+        the one with the most bytes.
+        """
+        model = self.cost_model
+        latency = model.latency_s
+        bandwidth = model.bandwidth_Bps
+        factors = self.link_speed_factors
+        if not factors:
+            return latency + max(step_bytes.values()) / (bandwidth * 1.0)
+        return max(
+            latency + nbytes / (bandwidth * factors.get(link, 1.0))
+            for link, nbytes in step_bytes.items()
         )
 
     def _link_transfer_time(self, link: tuple[int, int], nbytes: int) -> float:

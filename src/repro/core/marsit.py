@@ -162,7 +162,8 @@ class MarsitSynchronizer:
     transient vector is drawn by the *receiving* worker, so randomness is
     local — no shared seed is needed for consensus because the merged bits
     themselves travel the ring).  Topologies are compiled to
-    :class:`~repro.sched.plan.SyncPlan` once per (kind, topology) and cached.
+    :class:`~repro.sched.plan.SyncPlan` once per (kind, topology) and cached,
+    together with the executor's lowered form of the plan.
     """
 
     def __init__(
@@ -181,7 +182,9 @@ class MarsitSynchronizer:
         self.state = MarsitState.zeros(num_workers, dimension)
         seeds = np.random.SeedSequence(config.seed).spawn(num_workers)
         self.rngs = [np.random.default_rng(seed) for seed in seeds]
-        self._plans: dict[tuple, tuple[SyncPlan, str]] = {}
+        # (kind, topology, ...) -> (plan, digest, lowered schedule or None):
+        # what the executor precomputes from a plan lives and dies with it.
+        self._plans: dict[tuple, tuple[SyncPlan, str, object]] = {}
         # Crash recovery state: the original ranks still participating, and
         # whether the next round must resync in full precision.
         self._active: list[int] = list(range(num_workers))
@@ -216,16 +219,6 @@ class MarsitSynchronizer:
             entries are identical (consensus); on full-precision rounds they
             are identical up to FP32 wire rounding.
         """
-        faults = cluster.faults
-        recovered = False
-        if faults is not None:
-            faults.begin_round(round_idx)
-            crashed = faults.take_new_crashes()
-            if crashed:
-                self._recover(cluster, crashed, faults)
-                recovered = True
-        if cluster.num_workers != len(self._active):
-            raise ValueError("cluster size does not match synchronizer")
         if len(updates) != self.num_workers:
             raise ValueError("one update vector per worker required")
         stacked = [np.asarray(update, dtype=np.float64) for update in updates]
@@ -239,6 +232,25 @@ class MarsitSynchronizer:
         # survivors' rows go on the wire; dead rows stay parked (their
         # updates are ignored and their compensation pinned to zero).
         compensated = np.stack(stacked) + self.state.compensation
+        if not np.isfinite(compensated).all():
+            # ``NaN >= 0`` packs to -1, so a non-finite update would yield a
+            # finite consensus while the NaN waits in compensation for the
+            # next K-sync.  Refuse it before any state moves.
+            bad = np.flatnonzero(~np.isfinite(compensated).all(axis=1))
+            raise ValueError(
+                "non-finite compensated update from rank(s) "
+                f"{', '.join(str(rank) for rank in bad)}"
+            )
+        faults = cluster.faults
+        recovered = False
+        if faults is not None:
+            faults.begin_round(round_idx)
+            crashed = faults.take_new_crashes()
+            if crashed:
+                self._recover(cluster, crashed, faults)
+                recovered = True
+        if cluster.num_workers != len(self._active):
+            raise ValueError("cluster size does not match synchronizer")
         active = self._active
         degraded = len(active) != self.num_workers
         vectors = compensated[active] if degraded else compensated
@@ -354,10 +366,14 @@ class MarsitSynchronizer:
     # ------------------------------------------------------------------
     # plan cache
     # ------------------------------------------------------------------
-    def _plan_for(self, cluster: Cluster, kind: str) -> tuple[SyncPlan, str]:
+    def _plan_for(
+        self, cluster: Cluster, kind: str
+    ) -> tuple[SyncPlan, str, object]:
         """Compile (or fetch) the plan for ``cluster``'s topology.
 
-        The worker count is the *cluster*'s, not the synchronizer's — after
+        Returns ``(plan, digest, lowered)``: one-bit plans are lowered once
+        for the configured executor here and cached beside the plan.  The
+        worker count is the *cluster*'s, not the synchronizer's — after
         crash recovery the degraded topology is smaller, and its plans cache
         under a distinct key.
         """
@@ -391,7 +407,10 @@ class MarsitSynchronizer:
                 )
             )
         plan.validate()
-        cached = (plan, plan.digest())
+        lowered = None
+        if kind == "one_bit":
+            lowered = get_executor(self.config.engine).lower(plan)
+        cached = (plan, plan.digest(), lowered)
         self._plans[key] = cached
         return cached
 
@@ -411,7 +430,7 @@ class MarsitSynchronizer:
         if vectors.shape[0] == 1:
             bits = (vectors[0] >= 0).astype(np.uint8)
             return bits.astype(np.float64) * 2.0 - 1.0, None, 0
-        plan, digest = self._plan_for(cluster, "one_bit")
+        plan, digest, lowered = self._plan_for(cluster, "one_bit")
         executor = get_executor(self.config.engine)
         if len(self._active) == self.num_workers:
             rngs = self.rngs
@@ -423,6 +442,7 @@ class MarsitSynchronizer:
             vectors,
             rngs,
             verify_consensus=self.config.verify_consensus,
+            lowered=lowered,
         )
         # The single unpack of the whole pipeline: words -> {-1, +1} floats.
         return final.to_signs(), digest, plan.num_steps
@@ -436,7 +456,7 @@ class MarsitSynchronizer:
         """Lines 12-13: FP32 all-reduce mean of the compensated updates."""
         if vectors.shape[0] == 1:
             return [vectors[0].copy()], None, 0
-        plan, digest = self._plan_for(cluster, "full_precision")
+        plan, digest, _ = self._plan_for(cluster, "full_precision")
         executor = get_executor(self.config.engine)
         outputs = executor.run_full_precision(plan, cluster, vectors)
         return outputs, digest, plan.num_steps

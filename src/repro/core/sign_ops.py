@@ -34,6 +34,15 @@ step's merges — one lane per (cycle, position) pair — execute as single
 numpy expressions over a :class:`~repro.comm.bits.PackedBitsBatch`, again
 consuming per-rank RNG streams identical to the scalar path, so all three
 tiers are bit-for-bit interchangeable.
+
+Padding contract of the batch kernels: every bit past a lane's length is
+zero in every operand and in every result.  :func:`transient_vector_batch`
+keeps it without any masking pass.  Its uniforms buffer is exactly
+``width * 64`` columns wide, and the unused columns hold ``1.0``.  That
+value is never below either threshold, because ``b/(a+b)`` and ``a/(a+b)``
+are both < 1 when ``a, b >= 1`` (and the comparison is strict).  So both
+threshold masks are zero there, ``local & below_local`` is zero, and the
+all-ones padding of ``~local`` meets a zero ``below_other``.
 """
 
 from __future__ import annotations
@@ -170,34 +179,55 @@ def transient_vector_batch(
     bit-for-bit interchangeable under a shared seed.  Weights may be scalars
     (every lane at the same hop, the ring schedules) or per-lane arrays (the
     tree reduce, where subtree sizes differ).
+
+    The uniforms matrix is exactly ``width * 64`` columns wide, and the
+    columns past each lane's length hold ``1.0`` (see the module docstring),
+    so both threshold masks come out of one ``np.packbits`` already in word
+    layout with zero padding.
     """
     lanes = local_bits.num_lanes
     if len(rngs) != lanes:
         raise ValueError("one generator per lane required")
-    received = np.broadcast_to(
-        np.asarray(received_weights, dtype=np.int64), (lanes,)
-    )
-    local_w = np.broadcast_to(np.asarray(local_weights, dtype=np.int64), (lanes,))
-    if lanes and (received.min() < 1 or local_w.min() < 1):
-        raise ValueError("weights must be >= 1")
+    if type(received_weights) is int and type(local_weights) is int:
+        # Python ints divide exactly like the int64 arrays below.
+        if lanes and (received_weights < 1 or local_weights < 1):
+            raise ValueError("weights must be >= 1")
+        keep_local = local_weights / (received_weights + local_weights)
+    else:
+        received = np.asarray(received_weights, dtype=np.int64)
+        local_w = np.asarray(local_weights, dtype=np.int64)
+        if lanes and (received.min() < 1 or local_w.min() < 1):
+            raise ValueError("weights must be >= 1")
+        keep_local = local_w / (received + local_w)
+        if keep_local.ndim:
+            if keep_local.shape != (lanes,):
+                raise ValueError("weights must be scalars or one per lane")
+            keep_local = keep_local[:, None]
     lengths = local_bits.lengths
-    max_len = int(lengths.max()) if lengths.size else 0
-    uniforms = np.empty((lanes, max_len))
-    for lane in range(lanes):
-        n = int(lengths[lane])
+    width = local_bits.width
+    if not lanes or not width:
+        return PackedBitsBatch._trusted(
+            np.zeros((lanes, width), dtype=local_bits.words.dtype), lengths
+        )
+    sizes = lengths.tolist()
+    columns = width * 64
+    uniforms = np.empty((lanes, columns))
+    # Padding first (from the shortest lane on), then each lane's draw
+    # overwrites its own prefix.
+    uniforms[:, min(sizes) :] = 1.0
+    for lane, n in enumerate(sizes):
         if n:
             rngs[lane].random(out=uniforms[lane, :n])
-    keep_local = (local_w / (received + local_w))[:, None]
-    # from_bit_matrix masks columns past each lane's length, so the
-    # uninitialized tail of the shared uniforms buffer never leaks through.
-    width = local_bits.width
-    below_local = PackedBitsBatch.from_bit_matrix(
-        uniforms < keep_local, lengths, width=width
+    below = np.empty((2, lanes, columns), dtype=np.bool_)
+    np.less(uniforms, keep_local, out=below[0])
+    np.less(uniforms, 1.0 - keep_local, out=below[1])
+    below_local, below_other = np.packbits(
+        below, axis=-1, bitorder="little"
+    ).view(local_bits.words.dtype)
+    local = local_bits.words
+    return PackedBitsBatch._trusted(
+        (local & below_local) | (~local & below_other), lengths
     )
-    below_other = PackedBitsBatch.from_bit_matrix(
-        uniforms < 1.0 - keep_local, lengths, width=width
-    )
-    return (local_bits & below_local) | (local_bits.invert() & below_other)
 
 
 def merge_sign_bits_batch(
@@ -209,9 +239,23 @@ def merge_sign_bits_batch(
 
     One batched word-matrix expression merges every (cycle, position) lane of
     a synchronous step at once — the lockstep engine's per-step workhorse.
+    The three operands must share one word shape and one lengths vector; the
+    lane-stacked executor passes the same lengths array to all three, so the
+    length check is an identity test on its hot path.
     """
-    return (received_bits & local_bits) | (
-        (received_bits ^ local_bits) & transient
+    received = received_bits.words
+    local = local_bits.words
+    trans = transient.words
+    lengths = local_bits.lengths
+    if not received.shape == local.shape == trans.shape:
+        raise ValueError("batch shape/length mismatch")
+    if not (received_bits.lengths is lengths is transient.lengths) and not (
+        np.array_equal(received_bits.lengths, lengths)
+        and np.array_equal(transient.lengths, lengths)
+    ):
+        raise ValueError("batch shape/length mismatch")
+    return PackedBitsBatch._trusted(
+        (received & local) | ((received ^ local) & trans), lengths
     )
 
 
